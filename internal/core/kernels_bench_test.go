@@ -140,7 +140,7 @@ func BenchmarkFusedKernel(b *testing.B) {
 	}
 }
 
-// Halo exchange cost per depth (pack+local wrap).
+// Halo exchange cost per depth (the in-place local x-wrap).
 func BenchmarkHaloLocalExchange(b *testing.B) {
 	m := lattice.D3Q19()
 	for _, depth := range []int{1, 2, 4} {

@@ -94,7 +94,7 @@ func newStepper(cfg *Config, dec decomp.Cartesian, r *comm.Rank) (*stepper, erro
 	if cfg.Opt == OptOrig {
 		s.orig = newOrigProto(s, left, right)
 	} else {
-		ex, err := halo.NewExchanger(cfg.Model.Q, s.d, own, w, left, right)
+		ex, err := halo.NewExchanger(cfg.Model.Q, s.d, own, w, r.ID, left, right)
 		if err != nil {
 			return nil, err
 		}

@@ -100,17 +100,19 @@ func fullCross(d grid.Dims, lo, hi [3]int) bool {
 }
 
 // CartExchanger owns the send/receive buffers for one rank's multi-axis
-// halo exchange. The local field spans Own[a] + 2·W[a] cells on axis a:
-// [W[a], W[a]+Own[a]) is owned, [0, W[a]) the low ghost and
-// [W[a]+Own[a], Own[a]+2·W[a]) the high ghost.
+// halo exchange; only sides with a real neighbor have them. The local
+// field spans Own[a] + 2·W[a] cells on axis a: [W[a], W[a]+Own[a]) is
+// owned, [0, W[a]) the low ghost and [W[a]+Own[a], Own[a]+2·W[a]) the
+// high ghost.
 type CartExchanger struct {
 	Q    int
 	Dims grid.Dims // local dims including ghosts
 	Own  [3]int    // owned extents
 	W    [3]int    // ghost width per side, per axis
 	Self int       // this rank's ID (self-neighbor axes wrap locally)
-	// Neighbors[axis][0] is the low-side rank, [axis][1] the high-side.
-	// An entry of NoNeighbor marks a global boundary face of a bounded
+	// Neighbors[axis][0] is the low-side rank, [axis][1] the high-side;
+	// they are fixed at construction, which sizes the staging buffers for
+	// them. An entry of NoNeighbor marks a global boundary face of a bounded
 	// (non-periodic) axis: no message crosses it and no wraparound copy is
 	// made — its ghost cells are left for the caller to fill from boundary
 	// conditions.
@@ -142,14 +144,27 @@ func NewCartExchanger(q int, d grid.Dims, own, w [3]int, self int, neighbors [3]
 		}
 	}
 	e := &CartExchanger{Q: q, Dims: d, Own: own, W: w, Self: self, Neighbors: neighbors}
+	// Only sides that message need staging: a locally wrapped axis writes
+	// its ghosts in place, and a NoNeighbor side is never sent or received.
 	for a := 0; a < 3; a++ {
+		if e.localWrap(a) {
+			continue
+		}
 		n := q * w[a] * e.crossCells(a)
 		for s := 0; s < 2; s++ {
-			e.send[a][s] = make([]float64, n)
-			e.recv[a][s] = make([]float64, n)
+			if neighbors[a][s] != NoNeighbor {
+				e.send[a][s] = make([]float64, n)
+				e.recv[a][s] = make([]float64, n)
+			}
 		}
 	}
 	return e, nil
+}
+
+// localWrap reports whether both neighbors on axis are this rank, so the
+// axis wraps in place instead of messaging.
+func (e *CartExchanger) localWrap(axis int) bool {
+	return e.Neighbors[axis] == [2]int{e.Self, e.Self}
 }
 
 // crossCells returns the number of cells in one face layer normal to
@@ -233,7 +248,7 @@ func (e *CartExchanger) ExchangeAll(r *comm.Rank, f *grid.Field, nonblocking boo
 // neighbors on either side (bounded, undecomposed) is a no-op.
 func (e *CartExchanger) ExchangeAxis(r *comm.Rank, f *grid.Field, axis int, nonblocking bool) {
 	loN, hiN := e.Neighbors[axis][0], e.Neighbors[axis][1]
-	if loN == e.Self && hiN == e.Self {
+	if e.localWrap(axis) {
 		e.exchangeLocalAxis(f, axis)
 		return
 	}
@@ -342,18 +357,12 @@ func (e *CartExchanger) WaitUnpackAxis(r *comm.Rank, f *grid.Field, axis int) {
 }
 
 // exchangeLocalAxis wraps one undecomposed axis periodically in place:
-// low ghost <- high border, high ghost <- low border.
+// low ghost <- high border, high ghost <- low border, written straight
+// from the borders with no staging buffer.
 func (e *CartExchanger) exchangeLocalAxis(f *grid.Field, axis int) {
-	// Staging reads only border (owned) cells and ghost writes only ghost
-	// cells, so both packs may run before both unpacks.
 	t0 := e.Rec.Begin()
-	nHi := e.packFace(f, axis, 2, e.send[axis][1])
-	nLo := e.packFace(f, axis, 1, e.send[axis][0])
+	wrapAxis(f, axis, e.Own[axis], e.W[axis])
 	e.Rec.EndAxis(obs.Pack, axis, t0)
-	t0 = e.Rec.Begin()
-	e.unpackFace(f, axis, 0, e.send[axis][1][:nHi])
-	e.unpackFace(f, axis, 3, e.send[axis][0][:nLo])
-	e.Rec.EndAxis(obs.Unpack, axis, t0)
 }
 
 func (e *CartExchanger) packFace(f *grid.Field, axis, region int, buf []float64) int {

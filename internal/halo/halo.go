@@ -113,8 +113,53 @@ func UnpackPlanesVel(f *grid.Field, x0, x1 int, vels []int, buf []float64) int {
 	return n
 }
 
-// Exchanger owns the send/receive buffers for one rank's halo exchange.
-// The field geometry is fixed at construction: own interior planes with
+// wrapShort is the ghost span, in values, up to which wrapAxis copies with
+// an indexed loop: a runtime memmove call costs more than the handful of
+// values on a strided z face.
+const wrapShort = 32
+
+// wrapAxis fills the ghost layers of one axis of f periodically from its
+// own borders, in place: low ghost [0,w) <- high border [own, own+w) and
+// high ghost [w+own, 2w+own) <- low border [w, 2w), across the full
+// extent of the other axes. The field's extent on axis must be own+2·w
+// with own ≥ w, so reads touch owned cells only and writes ghosts only.
+//
+// In both layouts Data is a run of equal blocks, each holding the whole
+// axis as dims[axis] stripes of inner contiguous values: per (velocity)
+// for x, per (velocity, x) for y and per (velocity, x, y) z-row for z in
+// SoA; AoS folds the velocities into inner instead.
+func wrapAxis(f *grid.Field, axis, own, w int) {
+	dims := [3]int{f.D.NX, f.D.NY, f.D.NZ}
+	inner := 1
+	if f.Layout == grid.AoS {
+		inner = f.Q
+	}
+	for b := axis + 1; b < 3; b++ {
+		inner *= dims[b]
+	}
+	block := inner * dims[axis]
+	g, n := w*inner, own*inner // ghost and owned spans, in values
+	data := f.Data
+	if g > wrapShort {
+		for off := 0; off < len(data); off += block {
+			row := data[off : off+block]
+			copy(row[:g], row[n:n+g])
+			copy(row[g+n:], row[g:2*g])
+		}
+		return
+	}
+	for off := 0; off < len(data); off += block {
+		row := data[off : off+block : off+block]
+		for k := 0; k < g; k++ {
+			row[k] = row[n+k]
+			row[g+n+k] = row[g+k]
+		}
+	}
+}
+
+// Exchanger owns the send/receive buffers for one rank's halo exchange;
+// a rank that is its own left and right neighbor has none. The field
+// geometry is fixed at construction: own interior planes with
 // width ghost planes on each x side, so plane x ∈ [width, width+own) is
 // owned, [0,width) is the left ghost and [width+own, width+2·width) the
 // right ghost.
@@ -135,8 +180,10 @@ type Exchanger struct {
 	reqL, reqR   *comm.Request
 }
 
-// NewExchanger builds an exchanger for a field of the given shape.
-func NewExchanger(q int, d grid.Dims, own, width, left, right int) (*Exchanger, error) {
+// NewExchanger builds an exchanger for a field of the given shape. self is
+// this rank's ID: when both neighbors are self the exchanger only wraps
+// locally (ExchangeLocal) and allocates no staging buffers.
+func NewExchanger(q int, d grid.Dims, own, width, self, left, right int) (*Exchanger, error) {
 	if d.NX != own+2*width {
 		return nil, fmt.Errorf("halo: field NX %d != own %d + 2*width %d", d.NX, own, width)
 	}
@@ -149,12 +196,13 @@ func NewExchanger(q int, d grid.Dims, own, width, left, right int) (*Exchanger, 
 		// nearest-neighbor protocol cannot provide.
 		return nil, fmt.Errorf("halo: owned planes %d < halo width %d (grow the domain or reduce depth)", own, width)
 	}
-	n := q * width * d.PlaneCells()
-	return &Exchanger{
-		Q: q, Dims: d, Own: own, Width: width, Left: left, Right: right,
-		sendL: make([]float64, n), sendR: make([]float64, n),
-		recvL: make([]float64, n), recvR: make([]float64, n),
-	}, nil
+	e := &Exchanger{Q: q, Dims: d, Own: own, Width: width, Left: left, Right: right}
+	if left != self || right != self {
+		n := q * width * d.PlaneCells()
+		e.sendL, e.sendR = make([]float64, n), make([]float64, n)
+		e.recvL, e.recvR = make([]float64, n), make([]float64, n)
+	}
+	return e, nil
 }
 
 // BytesPerExchange returns the payload bytes this rank sends per exchange
@@ -224,22 +272,13 @@ func (e *Exchanger) ExchangeNonBlocking(r *comm.Rank, f *grid.Field) {
 }
 
 // ExchangeLocal fills the ghost planes directly from the owned borders for
-// single-rank runs (periodic in x without messaging). It is the fast path
-// used when both neighbors are the rank itself.
+// single-rank runs (periodic in x without messaging): the left ghost from
+// the right border and the right ghost from the left border, in place. It
+// is the fast path used when both neighbors are the rank itself.
 func (e *Exchanger) ExchangeLocal(f *grid.Field) {
-	w, own := e.Width, e.Own
-	// Left ghost [0,w) <- right border [own, own+w), right ghost
-	// [w+own, w+own+w) <- left border [w, 2w) (periodic wraps). Staging
-	// reads only owned planes and ghost writes only ghost planes, so both
-	// packs may run before both unpacks.
 	t0 := e.Rec.Begin()
-	nR := PackPlanes(f, own, own+w, e.sendR)
-	nL := PackPlanes(f, w, 2*w, e.sendL)
+	wrapAxis(f, 0, e.Own, e.Width)
 	e.Rec.EndAxis(obs.Pack, 0, t0)
-	t0 = e.Rec.Begin()
-	UnpackPlanes(f, 0, w, e.sendR[:nR])
-	UnpackPlanes(f, w+own, w+own+w, e.sendL[:nL])
-	e.Rec.EndAxis(obs.Unpack, 0, t0)
 }
 
 func (e *Exchanger) packBorders(f *grid.Field) {

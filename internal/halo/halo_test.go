@@ -104,16 +104,16 @@ func TestPackPlanesVelSubset(t *testing.T) {
 
 func TestNewExchangerValidation(t *testing.T) {
 	d := grid.Dims{NX: 8, NY: 2, NZ: 2}
-	if _, err := NewExchanger(3, d, 4, 2, 0, 0); err != nil {
+	if _, err := NewExchanger(3, d, 4, 2, 0, 0, 0); err != nil {
 		t.Errorf("valid exchanger rejected: %v", err)
 	}
-	if _, err := NewExchanger(3, d, 5, 2, 0, 0); err == nil {
+	if _, err := NewExchanger(3, d, 5, 2, 0, 0, 0); err == nil {
 		t.Error("NX mismatch accepted")
 	}
-	if _, err := NewExchanger(3, grid.Dims{NX: 5, NY: 2, NZ: 2}, 1, 2, 0, 0); err == nil {
+	if _, err := NewExchanger(3, grid.Dims{NX: 5, NY: 2, NZ: 2}, 1, 2, 0, 0, 0); err == nil {
 		t.Error("own < width accepted")
 	}
-	if _, err := NewExchanger(3, grid.Dims{NX: 4, NY: 2, NZ: 2}, 4, 0, 0, 0); err == nil {
+	if _, err := NewExchanger(3, grid.Dims{NX: 4, NY: 2, NZ: 2}, 4, 0, 0, 0, 0); err == nil {
 		t.Error("width 0 accepted")
 	}
 }
@@ -142,7 +142,7 @@ func ringTest(t *testing.T, ranks, own, width int, exch func(e *Exchanger, r *co
 		}
 		left := (r.ID - 1 + ranks) % ranks
 		right := (r.ID + 1) % ranks
-		e, err := NewExchanger(q, d, own, width, left, right)
+		e, err := NewExchanger(q, d, own, width, r.ID, left, right)
 		if err != nil {
 			return err
 		}
@@ -211,7 +211,7 @@ func TestExchangeLocalSingleRank(t *testing.T) {
 
 func TestWaitUnpackWithoutPostPanics(t *testing.T) {
 	d := grid.Dims{NX: 6, NY: 2, NZ: 2}
-	e, _ := NewExchanger(2, d, 4, 1, 0, 0)
+	e, _ := NewExchanger(2, d, 4, 1, 0, 0, 0)
 	fab := comm.NewFabric(1)
 	err := fab.Run(func(r *comm.Rank) error {
 		e.WaitUnpack(r, grid.NewField(2, d, grid.SoA))
@@ -224,7 +224,7 @@ func TestWaitUnpackWithoutPostPanics(t *testing.T) {
 
 func TestBytesPerExchange(t *testing.T) {
 	d := grid.Dims{NX: 8, NY: 3, NZ: 5}
-	e, _ := NewExchanger(19, d, 4, 2, 0, 0)
+	e, _ := NewExchanger(19, d, 4, 2, 0, 0, 0)
 	want := int64(2 * 8 * 19 * 2 * 15)
 	if got := e.BytesPerExchange(); got != want {
 		t.Errorf("BytesPerExchange = %d, want %d", got, want)
